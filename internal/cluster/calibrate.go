@@ -113,7 +113,7 @@ func Calibrate() (CostModel, error) {
 	}
 
 	// Fused front-end per RE for each constellation, in two columns: the
-	// scalar tile pipeline (NoVectorFrontEnd) and the default pipeline,
+	// scalar tile pipeline (NoVector) and the default pipeline,
 	// which uses the AVX2 tile kernels when the host has them. Each column
 	// runs a serial fused TransportProcessor over a representative
 	// allocation per modulation and reads the measured Timings.FrontEnd,
@@ -138,7 +138,7 @@ func Calibrate() (CostModel, error) {
 			{cfg.vector, false},
 		} {
 			p, err := phy.NewTransportProcessorOpts(cfg.mcs, nprb, phy.ProcOptions{
-				FrontEnd: phy.FrontEndFused, NoVectorFrontEnd: col.noVector,
+				FrontEnd: phy.FrontEndFused, NoVector: col.noVector,
 			})
 			if err != nil {
 				return m, fmt.Errorf("cluster: calibrate fused front-end: %w", err)
@@ -165,12 +165,15 @@ func Calibrate() (CostModel, error) {
 			*col.coef = el.Seconds() / float64(reps) / float64(p.NumSymbols())
 		}
 	}
-	// The calibrated model mirrors the data plane's default front-end
-	// variant: vector tile kernels whenever the host supports them.
-	m.FrontEndVector = phy.FrontEndAVX2()
+	// The calibrated model mirrors the data plane's default variant: vector
+	// kernels (front-end tiles, float32 SISO) whenever the host supports
+	// them — both paths share one AVX2 probe.
+	m.Vector = phy.FrontEndAVX2()
 
-	// Turbo decoding per information bit per iteration, measured once per
-	// kernel: fixed iteration count, no early termination.
+	// Turbo decoding per information bit per iteration, measured per kernel
+	// variant — float32 and int16 each on the pure-Go (NoVector) and the
+	// vector SISO, width-8 lockstep int16: fixed iteration count, no early
+	// termination.
 	{
 		const k = 6144
 		enc, err := phy.NewTurboEncoder(k)
@@ -201,55 +204,89 @@ func Calibrate() (CostModel, error) {
 		l0, l1, l2 := toLLR(d0), toLLR(d1), toLLR(d2)
 		out := make([]byte, k)
 		const iters = 4
-		measure := func(kernel phy.DecodeKernel) (float64, error) {
+		newDec := func(kernel phy.DecodeKernel, noVector bool) (*phy.TurboDecoder, error) {
 			dec, err := phy.NewTurboDecoderKernel(k, kernel)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
 			dec.MaxIterations = iters
-			reps := 12
-			start := time.Now()
-			for i := 0; i < reps; i++ {
-				if _, err := dec.Decode(out, l0, l1, l2); err != nil {
-					return 0, err
-				}
-			}
-			return time.Since(start).Seconds() / float64(reps) / (k * iters), nil
+			dec.NoVector = noVector
+			return dec, nil
 		}
-		if m.TurboPerBitIter, err = measure(phy.KernelFloat32); err != nil {
+		f32, err := newDec(phy.KernelFloat32, true)
+		if err != nil {
 			return m, err
 		}
-		if m.TurboPerBitIterI16, err = measure(phy.KernelInt16); err != nil {
+		f32Vec, err := newDec(phy.KernelFloat32, false)
+		if err != nil {
+			return m, err
+		}
+		i16, err := newDec(phy.KernelInt16, true)
+		if err != nil {
+			return m, err
+		}
+		i16Vec, err := newDec(phy.KernelInt16, false)
+		if err != nil {
 			return m, err
 		}
 
 		// Width-8 lockstep batch: eight lanes of the same block through
-		// phy.BatchDecoderI16 with the same fixed iteration count; the
+		// phy.BatchDecoderI16 with the same fixed iteration count; its
 		// coefficient is per bit per iteration per lane.
-		{
-			const width = 8
-			bd, err := phy.NewBatchDecoderI16(k, width)
-			if err != nil {
-				return m, err
-			}
-			bd.MaxIterations = iters
-			blocks := make([][]byte, width)
-			bl0 := make([][]float32, width)
-			bl1 := make([][]float32, width)
-			bl2 := make([][]float32, width)
-			for b := 0; b < width; b++ {
-				blocks[b] = make([]byte, k)
-				bl0[b], bl1[b], bl2[b] = l0, l1, l2
-			}
-			never := func([]byte) bool { return false }
-			reps := 6
-			start := time.Now()
-			for i := 0; i < reps; i++ {
-				if _, _, err := bd.Decode(blocks, bl0, bl1, bl2, never, nil); err != nil {
-					return m, err
+		const width = 8
+		bd, err := phy.NewBatchDecoderI16(k, width)
+		if err != nil {
+			return m, err
+		}
+		bd.MaxIterations = iters
+		blocks := make([][]byte, width)
+		bl0 := make([][]float32, width)
+		bl1 := make([][]float32, width)
+		bl2 := make([][]float32, width)
+		for b := 0; b < width; b++ {
+			blocks[b] = make([]byte, k)
+			bl0[b], bl1[b], bl2[b] = l0, l1, l2
+		}
+		never := func([]byte) bool { return false }
+
+		// The variants are timed in interleaved rounds and each keeps its
+		// fastest decode: the input is identical every time, so the spread
+		// is pure interference, and a slow window (scheduler preemption,
+		// frequency scaling) has to recur over the same variant in every
+		// round to bias the kernel ordering the coefficients encode.
+		variants := []struct {
+			coef   *float64
+			bits   float64 // information bits × iterations per decode
+			decode func() error
+		}{
+			{&m.TurboPerBitIter, k * iters, func() error { _, err := f32.Decode(out, l0, l1, l2); return err }},
+			{&m.TurboPerBitIterVec, k * iters, func() error { _, err := f32Vec.Decode(out, l0, l1, l2); return err }},
+			{&m.TurboPerBitIterI16, k * iters, func() error { _, err := i16.Decode(out, l0, l1, l2); return err }},
+			{&m.TurboPerBitIterI16Vec, k * iters, func() error { _, err := i16Vec.Decode(out, l0, l1, l2); return err }},
+			{&m.TurboPerBitIterI16Batch, k * iters * width, func() error {
+				_, _, err := bd.Decode(blocks, bl0, bl1, bl2, never, nil)
+				return err
+			}},
+		}
+		for _, v := range variants {
+			*v.coef = math.Inf(1)
+		}
+		const rounds, perRound = 6, 2
+		for round := 0; round < rounds; round++ {
+			for _, v := range variants {
+				for i := 0; i < perRound; i++ {
+					start := time.Now()
+					if err := v.decode(); err != nil {
+						return m, err
+					}
+					*v.coef = math.Min(*v.coef, time.Since(start).Seconds()/v.bits)
 				}
 			}
-			m.TurboPerBitIterI16Batch = time.Since(start).Seconds() / float64(reps) / (k * iters * width)
+		}
+		if !phy.TurboF32AVX2() {
+			// Both variants of each kernel ran the same pure-Go code.
+			m.TurboPerBitIterVec = m.TurboPerBitIter
+			m.TurboPerBitIterI16Vec = m.TurboPerBitIterI16
 		}
 	}
 

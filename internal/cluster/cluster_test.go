@@ -324,23 +324,36 @@ func TestCostModelFrontEndSelection(t *testing.T) {
 func TestCostModelFrontEndVectorSelection(t *testing.T) {
 	m := DefaultCostModel()
 	a := frame.Allocation{RNTI: 1, FirstPRB: 0, NumPRB: 100, MCS: 27, SNRdB: phy.MCS(27).OperatingSNR()}
-	scalar := m.AllocCost(a) // FrontEndVector defaults to false
-	vector := m.WithFrontEndVector(true).AllocCost(a)
+	scalar := m.AllocCost(a) // Vector defaults to false
+	vector := m.WithVector(true).AllocCost(a)
 	if vector >= scalar {
 		t.Fatalf("vector fused alloc cost %v not below scalar %v", vector, scalar)
 	}
-	// WithFrontEndVector is a copy: the receiver must keep its variant.
-	if m.FrontEndVector {
-		t.Fatal("WithFrontEndVector mutated the receiver")
+	// WithVector is a copy: the receiver must keep its variant.
+	if m.Vector {
+		t.Fatal("WithVector mutated the receiver")
 	}
-	// The vector coefficients only apply to the fused front-end: the staged
-	// model must be indifferent to the knob.
+	// The vector front-end coefficients only apply to the fused front-end
+	// and the vector turbo coefficients only to the single-block kernels:
+	// a staged model must move by exactly its kernel's turbo coefficient
+	// swap, and a staged width-8 batch model not at all.
 	st := m.WithFrontEnd(phy.FrontEndStaged)
-	if st.WithFrontEndVector(true).AllocCost(a) != st.AllocCost(a) {
-		t.Fatal("FrontEndVector changed the staged front-end cost")
+	swapped := st
+	swapped.TurboPerBitIter = st.TurboPerBitIterVec
+	if st.WithVector(true).AllocCost(a) != swapped.AllocCost(a) {
+		t.Fatal("Vector changed the staged float32 cost by more than the turbo coefficient")
+	}
+	st = st.WithKernel(phy.KernelInt16)
+	swapped = st
+	swapped.TurboPerBitIterI16 = st.TurboPerBitIterI16Vec
+	if st.WithVector(true).AllocCost(a) != swapped.AllocCost(a) {
+		t.Fatal("Vector changed the staged int16 cost by more than the turbo coefficient")
+	}
+	if b8 := st.WithBatch(8); b8.WithVector(true).AllocCost(a) != b8.AllocCost(a) {
+		t.Fatal("Vector changed the staged width-8 batch cost")
 	}
 	// The parallel service-time model uses the same coefficient switch.
-	if vw, sw := m.WithFrontEndVector(true).AllocCostWorkers(a, 4), m.AllocCostWorkers(a, 4); vw >= sw {
+	if vw, sw := m.WithVector(true).AllocCostWorkers(a, 4), m.AllocCostWorkers(a, 4); vw >= sw {
 		t.Fatalf("vector fused parallel cost %v not below scalar %v", vw, sw)
 	}
 	// A zero vector coefficient must fail validation.
@@ -348,6 +361,16 @@ func TestCostModelFrontEndVectorSelection(t *testing.T) {
 	bad.FusedVecPerRE16QAM = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero FusedVecPerRE16QAM accepted")
+	}
+	for _, zero := range []func(*CostModel){
+		func(c *CostModel) { c.TurboPerBitIterVec = 0 },
+		func(c *CostModel) { c.TurboPerBitIterI16Vec = 0 },
+	} {
+		bad = m
+		zero(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Fatal("zero vector turbo coefficient accepted")
+		}
 	}
 }
 
@@ -412,8 +435,18 @@ func TestCalibrateMeasuresBothKernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.TurboPerBitIterI16 <= 0 || m.TurboPerBitIterI16 >= m.TurboPerBitIter {
-		t.Fatalf("calibrated int16 turbo coefficient %.3g not below float32 %.3g",
+		t.Fatalf("calibrated int16 turbo coefficient %.3g not below scalar float32 %.3g",
 			m.TurboPerBitIterI16, m.TurboPerBitIter)
+	}
+	// The vector columns mirror the scalar ones without AVX2 and must beat
+	// them with AVX2.
+	if m.TurboPerBitIterVec <= 0 || (phy.TurboF32AVX2() && m.TurboPerBitIterVec >= m.TurboPerBitIter) {
+		t.Fatalf("calibrated vector float32 turbo coefficient %.3g not below scalar %.3g (AVX2 %v)",
+			m.TurboPerBitIterVec, m.TurboPerBitIter, phy.TurboF32AVX2())
+	}
+	if m.TurboPerBitIterI16Vec <= 0 || (phy.TurboF32AVX2() && m.TurboPerBitIterI16Vec >= m.TurboPerBitIterI16) {
+		t.Fatalf("calibrated vector int16 turbo coefficient %.3g not below scalar %.3g (AVX2 %v)",
+			m.TurboPerBitIterI16Vec, m.TurboPerBitIterI16, phy.TurboF32AVX2())
 	}
 	if m.TurboPerBitIterI16Batch <= 0 || m.TurboPerBitIterI16Batch >= m.TurboPerBitIterI16 {
 		t.Fatalf("calibrated width-8 batch coefficient %.3g not below scalar int16 %.3g",
@@ -469,8 +502,8 @@ func TestCalibrateMeasuresBothKernels(t *testing.T) {
 				c.name, c.vector, c.scalar)
 		}
 	}
-	if m.FrontEndVector != phy.FrontEndAVX2() {
-		t.Fatalf("calibrated FrontEndVector %v does not mirror phy.FrontEndAVX2() %v",
-			m.FrontEndVector, phy.FrontEndAVX2())
+	if m.Vector != phy.FrontEndAVX2() {
+		t.Fatalf("calibrated Vector %v does not mirror phy.FrontEndAVX2() %v",
+			m.Vector, phy.FrontEndAVX2())
 	}
 }

@@ -56,17 +56,26 @@ type CostModel struct {
 	// demodulation and descrambling run 8 symbols per iteration in
 	// assembly. On hosts without AVX2 the calibrator sets these equal to
 	// the scalar FusedPerRE* coefficients. Charged instead of FusedPerRE*
-	// when FrontEndVector is set.
+	// when Vector is set.
 	FusedVecPerREQPSK  float64
 	FusedVecPerRE16QAM float64
 	FusedVecPerRE64QAM float64
 	// TurboPerBitIter is the turbo-decode cost per information bit per
-	// full iteration with the float32 reference kernel — the dominant
+	// full iteration with the float32 kernel's pure-Go SISO — the dominant
 	// coefficient.
 	TurboPerBitIter float64
+	// TurboPerBitIterVec is the same coefficient with the float32 kernel's
+	// AVX2 state-parallel SISO (phy.TurboF32AVX2() true). On hosts without
+	// AVX2 the calibrator sets it equal to TurboPerBitIter. Charged instead
+	// of TurboPerBitIter when Vector is set.
+	TurboPerBitIterVec float64
 	// TurboPerBitIterI16 is the same coefficient measured with the
-	// quantized int16 kernel (phy.KernelInt16).
+	// quantized int16 kernel (phy.KernelInt16) on its pure-Go SISO.
 	TurboPerBitIterI16 float64
+	// TurboPerBitIterI16Vec is the int16 coefficient on the AVX2
+	// state-parallel SISO, set equal to TurboPerBitIterI16 without AVX2 and
+	// charged instead of it when Vector is set.
+	TurboPerBitIterI16Vec float64
 	// TurboPerBitIterI16Batch is the int16 coefficient measured with the
 	// width-8 lockstep batch kernel (phy.BatchDecoderI16): the per-bit,
 	// per-iteration, per-lane cost when eight same-size code blocks move
@@ -93,11 +102,13 @@ type CostModel struct {
 	// mirroring dataplane.Config.FrontEnd. Use WithFrontEnd to derive a
 	// model for the other front-end.
 	FrontEnd phy.FrontEnd
-	// FrontEndVector selects the AVX2 tile coefficients (FusedVecPerRE*)
-	// for the fused front-end, mirroring the data plane's default of
-	// phy.FrontEndAVX2() && !NoVectorFrontEnd. It has no effect on the
-	// staged front-end. Use WithFrontEndVector to derive the other variant.
-	FrontEndVector bool
+	// Vector selects the AVX2 coefficients — FusedVecPerRE* for the fused
+	// front-end and TurboPerBitIterVec / TurboPerBitIterI16Vec for the
+	// single-block turbo kernels — mirroring the data plane's default of
+	// vector kernels on AVX2 hosts unless phy.ProcOptions.NoVector is set.
+	// It has no effect on the staged front-end or the lockstep batch
+	// coefficient. Use WithVector to derive the other variant.
+	Vector bool
 	// Batch is the lockstep batch width the cost queries assume, mirroring
 	// dataplane.Config.DecodeBatch (0 or 1 = scalar per-block decode). It
 	// only affects the int16 kernel: the turbo coefficient interpolates
@@ -128,10 +139,11 @@ func (m CostModel) WithFrontEnd(fe phy.FrontEnd) CostModel {
 	return m
 }
 
-// WithFrontEndVector returns a copy of the model whose cost queries charge
-// the fused front-end at the vector (AVX2 tile) or scalar coefficients.
-func (m CostModel) WithFrontEndVector(v bool) CostModel {
-	m.FrontEndVector = v
+// WithVector returns a copy of the model whose cost queries charge the
+// fused front-end and the single-block turbo kernels at the vector (AVX2)
+// or scalar coefficients.
+func (m CostModel) WithVector(v bool) CostModel {
+	m.Vector = v
 	return m
 }
 
@@ -163,25 +175,37 @@ func (m CostModel) expectedIters(mcs phy.MCS, snrDB float64) float64 {
 // kernel and batch width.
 func (m CostModel) turboCoeff() float64 {
 	if m.Kernel != phy.KernelInt16 {
+		if m.Vector {
+			return m.TurboPerBitIterVec
+		}
 		return m.TurboPerBitIter
+	}
+	single := m.TurboPerBitIterI16
+	if m.Vector {
+		single = m.TurboPerBitIterI16Vec
 	}
 	w := m.Batch
 	if w <= 1 {
-		return m.TurboPerBitIterI16
+		return single
 	}
 	if w >= 8 {
 		return m.TurboPerBitIterI16Batch
 	}
-	// Hyperbolic interpolation between the scalar (w=1) and width-8
+	// Hyperbolic interpolation between the single-block (w=1) and width-8
 	// calibration points: the batch saving is per-lane, so the coefficient
 	// tracks 1/w between the measured endpoints.
 	lam := (1/float64(w) - 1.0/8) / (1 - 1.0/8)
-	return lam*m.TurboPerBitIterI16 + (1-lam)*m.TurboPerBitIterI16Batch
+	return lam*single + (1-lam)*m.TurboPerBitIterI16Batch
 }
 
 // DefaultCostModel returns coefficients representative of a ~3 GHz x86 core
 // (used when calibration is skipped, e.g. in fast unit tests). Values are in
-// seconds per unit.
+// seconds per unit. The model is scalar (Vector false); its vector turbo
+// coefficients, charged only under WithVector(true), are TurboPerBitIter
+// scaled by the ~8.5× the AVX2 float32 SISO measured over the float32
+// kernel that value was taken from (BenchmarkTurboDecodeK6144), and ~0.8×
+// of that for the AVX2 int16 SISO (BenchmarkTurboDecodeK6144Int16 against
+// BenchmarkTurboDecodeK6144).
 func DefaultCostModel() CostModel {
 	return CostModel{
 		FFTPerButterfly:         2.0e-9,
@@ -197,7 +221,9 @@ func DefaultCostModel() CostModel {
 		FusedVecPerRE16QAM:      8e-9,
 		FusedVecPerRE64QAM:      13e-9,
 		TurboPerBitIter:         28e-9,
+		TurboPerBitIterVec:      3.3e-9,
 		TurboPerBitIterI16:      9e-9,
+		TurboPerBitIterI16Vec:   2.6e-9,
 		TurboPerBitIterI16Batch: 2.4e-9,
 		CRCPerBit:               0.8e-9,
 		EncodePerBit:            12e-9,
@@ -212,7 +238,7 @@ func (m CostModel) Validate() error {
 		m.DescramblePerBit, m.DematchPerBit,
 		m.FusedPerREQPSK, m.FusedPerRE16QAM, m.FusedPerRE64QAM,
 		m.FusedVecPerREQPSK, m.FusedVecPerRE16QAM, m.FusedVecPerRE64QAM,
-		m.TurboPerBitIter, m.TurboPerBitIterI16, m.TurboPerBitIterI16Batch,
+		m.TurboPerBitIter, m.TurboPerBitIterVec, m.TurboPerBitIterI16, m.TurboPerBitIterI16Vec, m.TurboPerBitIterI16Batch,
 		m.CRCPerBit, m.EncodePerBit, m.DispatchPerBlock,
 	} {
 		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
@@ -249,7 +275,7 @@ func (m CostModel) demodPerRE(mod phy.Modulation) float64 {
 // fusedPerRE selects the per-RE fused front-end coefficient for the
 // model's tile-kernel variant (vector vs scalar).
 func (m CostModel) fusedPerRE(mod phy.Modulation) float64 {
-	if m.FrontEndVector {
+	if m.Vector {
 		switch mod {
 		case phy.QAM16:
 			return m.FusedVecPerRE16QAM

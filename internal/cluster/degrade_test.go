@@ -62,7 +62,15 @@ func TestDegradationLadderStructure(t *testing.T) {
 // corner and at any SNR margin (the iteration cap binds hardest at the cliff
 // edge, the kernel swap everywhere).
 func TestDegradationCostMonotone(t *testing.T) {
-	m := DefaultCostModel()
+	// Both the scalar model and the vector (AVX2 kernels) model: the int16
+	// rung must be a saving on either.
+	for _, m := range []CostModel{DefaultCostModel(), DefaultCostModel().WithVector(true)} {
+		checkDegradationCostMonotone(t, m)
+	}
+}
+
+func checkDegradationCostMonotone(t *testing.T, m CostModel) {
+	t.Helper()
 	for _, mcs := range []phy.MCS{0, 10, 16, 22, 28} {
 		for _, prb := range []int{4, 25, 100} {
 			for _, margin := range []float64{-2, 0, 3} {
@@ -77,8 +85,8 @@ func TestDegradationCostMonotone(t *testing.T) {
 				for l := MaxDegradationLevel; l > DegradeNone; l-- {
 					c := (l - 1).Apply(m).SubframeCost(w, phy.BW20MHz, 1)
 					if c < prev {
-						t.Fatalf("mcs %d prb %d margin %+.0f: cost at level %d (%v) below level %d (%v)",
-							mcs, prb, margin, l-1, c, l, prev)
+						t.Fatalf("vector %v mcs %d prb %d margin %+.0f: cost at level %d (%v) below level %d (%v)",
+							m.Vector, mcs, prb, margin, l-1, c, l, prev)
 					}
 					prev = c
 				}
@@ -87,8 +95,8 @@ func TestDegradationCostMonotone(t *testing.T) {
 				full := DegradeNone.Apply(m).SubframeCost(w, phy.BW20MHz, 1)
 				deep := MaxDegradationLevel.Apply(m).SubframeCost(w, phy.BW20MHz, 1)
 				if deep >= full {
-					t.Fatalf("mcs %d prb %d margin %+.0f: deepest rung not cheaper (%v vs %v)",
-						mcs, prb, margin, deep, full)
+					t.Fatalf("vector %v mcs %d prb %d margin %+.0f: deepest rung not cheaper (%v vs %v)",
+						m.Vector, mcs, prb, margin, deep, full)
 				}
 			}
 		}

@@ -186,6 +186,23 @@ func TestEndToEndLowSNRFailsCRC(t *testing.T) {
 	}
 }
 
+// waitHARQRelease blocks until the pool has released the soft buffer of
+// a's HARQ process. OnDone runs before that release (the Task.Soft
+// contract), so a test that sends a retransmission straight from the first
+// transmission's OnDone must wait for it — eight TTIs of HARQ RTT in a real
+// cell — or the retransmission finds the process busy and, by design,
+// decodes without combining.
+func waitHARQRelease(t *testing.T, cp *CellProcessor, a frame.Allocation) {
+	t.Helper()
+	st := cp.HARQ().states[harqStateKey{a.RNTI, a.HARQProcess}]
+	for deadline := time.Now().Add(5 * time.Second); st.busy.Load(); {
+		if time.Now().After(deadline) {
+			t.Fatal("HARQ process never released after the first transmission")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 func TestHARQRetransmissionViaDataplane(t *testing.T) {
 	// First TX below the operating point usually fails; a chase-combined
 	// retransmission through the cell's HARQ manager must succeed.
@@ -215,6 +232,7 @@ func TestHARQRetransmissionViaDataplane(t *testing.T) {
 	}
 
 	first := runOnce(work)
+	waitHARQRelease(t, cp, alloc)
 	// Retransmission 8 TTIs later, same HARQ process, RV 2.
 	work2 := work
 	work2.TTI = 18

@@ -44,12 +44,12 @@ func E13FrontEndAblation(quick bool) (Result, error) {
 		// configurations, so what matters is that no single configuration
 		// is sampled only inside a slow window. The third configuration is
 		// the fused pass with the pure-Go tile kernels pinned
-		// (NoVectorFrontEnd) — it isolates the algorithmic fusion win from
+		// (NoVector) — it isolates the algorithmic fusion win from
 		// the AVX2 vectorization win (which E18 measures in full).
 		cfgs := []phy.ProcOptions{
 			{Workers: 1, Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndStaged},
 			{Workers: 1, Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndFused},
-			{Workers: 1, Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndFused, NoVectorFrontEnd: true},
+			{Workers: 1, Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndFused, NoVector: true},
 			{Workers: 1, Kernel: phy.KernelInt16, FrontEnd: phy.FrontEndStaged},
 			{Workers: 1, Kernel: phy.KernelInt16, FrontEnd: phy.FrontEndFused},
 		}
@@ -108,7 +108,7 @@ func E13FrontEndAblation(quick bool) (Result, error) {
 	}
 	res.Notes = append(res.Notes,
 		"fe columns: demod+descramble+dematch+crc at 100 PRB, single worker, op+3 dB; fused path reports one combined FrontEnd time",
-		"fe-fused-sc: the fused pass with the pure-Go tile kernels (NoVectorFrontEnd); fe-fused and the fe-speedup metric use the default pipeline, AVX2 tiles when the host has them (E18 isolates that gap)",
-		"e2e columns: whole-decode speedup staged→fused per turbo kernel; larger under int16 because the turbo share shrinks")
+		"fe-fused-sc: the fused pass with the pure-Go tile kernels (NoVector); fe-fused and the fe-speedup metric use the default pipeline, AVX2 tiles when the host has them (E18 isolates that gap)",
+		"e2e columns: whole-decode speedup staged→fused per turbo kernel; larger under the faster turbo kernel because the turbo share shrinks")
 	return res, nil
 }

@@ -11,18 +11,19 @@ import (
 // E18VectorFrontEnd measures what the AVX2 tile pipeline buys inside the
 // fused decode front-end: per-MCS front-end stage time under three variants
 // — the staged three-sweep oracle, the fused pipeline with the pure-Go tile
-// kernels (NoVectorFrontEnd), and the fused pipeline with the AVX2 tile
+// kernels (NoVector), and the fused pipeline with the AVX2 tile
 // kernels — at a fully loaded 100-PRB subframe, single worker (the only
 // configuration where the fused front-end time is separable; see E13). The
-// e2e column uses the int16 turbo kernel, where the pre-turbo chain owns
-// the largest share of the decode and the vector kernels matter most.
+// e2e column uses the int16 turbo kernel and switches every vector kernel
+// at once (NoVector also selects the int16 SISO's pure-Go path), so it is
+// the whole-decode effect of vectorization, not of the tiles alone.
 //
 // On hosts without AVX2 (or under the purego build tag) the vector variant
 // silently runs the same pure-Go tiles, the speedup columns read ~1.00x,
 // and the fe_avx2 metric is 0 so downstream gates know to stand down.
 //
 // The frontier rows recompute E11's deadline-feasibility frontier on the
-// cost model's vector coefficients (WithFrontEndVector): the per-RE fused
+// cost model's vector coefficients (WithVector): the per-RE fused
 // costs shrink, so the highest MCS whose 100-PRB subframe fits the ~2 ms
 // HARQ budget can move up at a given parallelism.
 func E18VectorFrontEnd(quick bool) (Result, error) {
@@ -54,9 +55,9 @@ func E18VectorFrontEnd(quick bool) (Result, error) {
 		// same configuration in both rounds to bias a ratio.
 		cfgs := []phy.ProcOptions{
 			{Workers: 1, Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndStaged},
-			{Workers: 1, Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndFused, NoVectorFrontEnd: true},
+			{Workers: 1, Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndFused, NoVector: true},
 			{Workers: 1, Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndFused},
-			{Workers: 1, Kernel: phy.KernelInt16, FrontEnd: phy.FrontEndFused, NoVectorFrontEnd: true},
+			{Workers: 1, Kernel: phy.KernelInt16, FrontEnd: phy.FrontEndFused, NoVector: true},
 			{Workers: 1, Kernel: phy.KernelInt16, FrontEnd: phy.FrontEndFused},
 		}
 		tm := make([]phy.StageTimings, len(cfgs))
@@ -103,7 +104,7 @@ func E18VectorFrontEnd(quick bool) (Result, error) {
 	m := cluster.DefaultCostModel().WithKernel(phy.KernelInt16)
 	for _, w := range []int{1, 4} {
 		fs := feasibleMCS(m, w)
-		fv := feasibleMCS(m.WithFrontEndVector(true), w)
+		fv := feasibleMCS(m.WithVector(true), w)
 		res.Metrics[fmt.Sprintf("feasible_mcs_vec_i16_%dw", w)] = float64(fv)
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"model feasibility frontier at %d worker(s) (2 ms HARQ budget, int16 kernel, reference core): MCS %d (scalar fused) → MCS %d (vector fused)", w, fs, fv))
@@ -111,6 +112,6 @@ func E18VectorFrontEnd(quick bool) (Result, error) {
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("host AVX2 front-end: %v (GOMAXPROCS=%d); without it all three columns run pure Go and the speedups read ~1.00x", phy.FrontEndAVX2(), runtime.GOMAXPROCS(0)),
 		"fe columns: the pre-turbo chain at 100 PRB, single worker, op+3 dB; staged = demod+descramble+dematch sweeps, scalar/vector = the two-phase tile pass (expand keystream signs → demod tile → scatter through the rate-match inverse)",
-		"e2e-i16: whole-decode speedup scalar-fused → vector-fused under the int16 turbo kernel")
+		"e2e-i16: whole-decode speedup all pure-Go kernels (NoVector) → all vector kernels under the int16 turbo kernel: the front-end tiles and the int16 SISO both switch")
 	return res, nil
 }

@@ -20,11 +20,20 @@ type overloadStats struct {
 	level cluster.DegradationLevel
 }
 
+// overloadMinWindow is the shortest counted window of one overload point:
+// nTasks is raised until the expected arrivals span it. Goodput and miss
+// rates are wall-clock measurements, so the window must stay long against
+// host scheduling jitter (milliseconds) however fast the decode kernels
+// are — a fixed task count on sub-millisecond decodes shrinks it to tens
+// of milliseconds, where one stall moves a whole load point.
+const overloadMinWindow = 250 * time.Millisecond
+
 // runOverloadPoint drives a pool at the offered load factor (1.0 = the
 // worker's measured capacity; overload points exceed it) with Poisson
 // arrivals over the templates and returns goodput/miss accounting. It is
 // runLoadPoint's sibling with bit accounting: overload experiments care
-// about how many useful bits survive, not just the miss fraction.
+// about how many useful bits survive, not just the miss fraction. At least
+// nTasks tasks are counted, more if needed to fill overloadMinWindow.
 func runOverloadPoint(tpls []*taskTemplate, cfg dataplane.Config, load float64, nTasks int, seed int64) (overloadStats, error) {
 	pool, err := dataplane.NewPool(cfg)
 	if err != nil {
@@ -37,6 +46,7 @@ func runOverloadPoint(tpls []*taskTemplate, cfg dataplane.Config, load float64, 
 	}
 	mean /= float64(len(tpls))
 	meanIAT := mean / (load * float64(cfg.Workers))
+	nTasks = max(nTasks, int(overloadMinWindow.Seconds()/meanIAT))
 	rng := rand.New(rand.NewSource(seed))
 
 	warmup := nTasks / 10
@@ -198,6 +208,7 @@ func E19OverloadCurve(quick bool) (Result, error) {
 	res.Metrics["miss_monotone"] = missMonotone
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("deadline scale ×%.1f; offered load 1.0 = one worker's measured decode capacity", scale),
+		fmt.Sprintf("each load point counts ≥%d tasks spanning ≥%v of arrivals", nTasks, overloadMinWindow),
 		fmt.Sprintf("templates: MCS 16 / 25 PRB (%.2f ms) + MCS 10 / 4 PRB (%.2f ms), full budget",
 			bulk.cost.Seconds()*1e3, narrow.cost.Seconds()*1e3),
 		"goodput = on-time CRC-passing transport-block bits / wall time; ladder = headroom-controlled degradation (cluster.DegradationLevel)")

@@ -71,8 +71,19 @@ func startFaultyAgent(t *testing.T, addr string, id uint32, inj *faultinject.Inj
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = an.Run() }()
-	t.Cleanup(func() { _ = an.Close() })
+	// Cleanup waits for Run to return: the agent logs through t.Logf, and a
+	// command still in flight at teardown (a late multi-megabyte HARQ
+	// snapshot) must not log after the test has completed.
+	ran := make(chan struct{})
+	go func() { _ = an.Run(); close(ran) }()
+	t.Cleanup(func() {
+		_ = an.Close()
+		select {
+		case <-ran:
+		case <-time.After(5 * time.Second):
+			t.Error("agent Run did not return after Close")
+		}
+	})
 	return an
 }
 
@@ -131,9 +142,11 @@ func TestLeaseFailoverWithFaultInjection(t *testing.T) {
 	if v := cn.Telemetry().Counter("controller.state_pushed_bytes").Value(); v == 0 {
 		t.Fatal("controller pushed no warm state during failover")
 	}
-	if v := survivor.Telemetry().Counter("agent.state_restored_bytes").Value(); v == 0 {
-		t.Fatal("survivor restored no migrated HARQ state")
-	}
+	// The controller sends the state after the AssignCell commands, so it
+	// can still be in flight when the survivor already holds both cells.
+	waitFor(t, "survivor restored migrated HARQ state", 5*time.Second, func() bool {
+		return survivor.Telemetry().Counter("agent.state_restored_bytes").Value() > 0
+	})
 	// Decoding resumes on the survivor: completions keep growing.
 	base := survivor.Pool().Stats().Completed
 	waitFor(t, "survivor decoding resumed", 5*time.Second, func() bool {

@@ -13,7 +13,7 @@ import (
 // staged-oracle processor and a fused processor (each with its own soft
 // buffer, carried across the rv sequence for HARQ combining), comparing
 // payloads, errors, and full soft-buffer contents bit for bit. On AVX2
-// hosts a third, scalar-tile fused processor (NoVectorFrontEnd) decodes the
+// hosts a third, scalar-tile fused processor (NoVector) decodes the
 // same vector, pinning the vector and pure-Go tile kernels to each other at
 // every code-block boundary residue the configuration produces.
 func decodeBothFrontEnds(t *testing.T, mcs MCS, nprb, workers int, kernel DecodeKernel, rvs []int, snrDB float64, seed int64) {
@@ -31,7 +31,7 @@ func decodeBothFrontEnds(t *testing.T, mcs MCS, nprb, workers int, kernel Decode
 	var scalar *TransportProcessor
 	var sbSc *SoftBuffer
 	if FrontEndAVX2() {
-		scalar, err = NewTransportProcessorOpts(mcs, nprb, ProcOptions{Workers: workers, Kernel: kernel, FrontEnd: FrontEndFused, NoVectorFrontEnd: true})
+		scalar, err = NewTransportProcessorOpts(mcs, nprb, ProcOptions{Workers: workers, Kernel: kernel, FrontEnd: FrontEndFused, NoVector: true})
 		if err != nil {
 			t.Fatal(err)
 		}

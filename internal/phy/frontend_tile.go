@@ -88,7 +88,7 @@ func feExpandSigns(sgn []uint32, key []uint32, s0, n, qm, stride int, vector boo
 // already expanded into sgn XORed in. The AVX2 path consumes the largest
 // multiple-of-8 prefix; the pure-Go kernels finish the tail and are the
 // whole path on non-AVX2 hosts, purego builds, or when the processor was
-// built with NoVectorFrontEnd.
+// built with NoVector.
 func feTileDemod(mod Modulation, strip []float32, sgn []uint32, rx []complex128, n, stride int, invN0 float64, vector bool) {
 	t0 := 0
 	if vector && feAsm {

@@ -99,6 +99,9 @@ type ParallelOptions struct {
 	// to the scalar int16 kernel, so outputs do not change. 0 or 1 disables
 	// batching.
 	Batch int
+	// NoVector sets TurboDecoder.NoVector on every per-worker decoder
+	// (pure-Go SISO; see ProcOptions.NoVector).
+	NoVector bool
 }
 
 // NewParallelDecoder returns a decoder pool for turbo block size k with the
@@ -156,6 +159,7 @@ func NewParallelDecoderOpts(k int, o ParallelOptions) (*ParallelDecoder, error) 
 		if err != nil {
 			return nil, err
 		}
+		dec.NoVector = o.NoVector
 		w.dec = dec
 		if batch > 1 {
 			bd, err := NewBatchDecoderI16(k, batch)
@@ -213,10 +217,12 @@ func (pd *ParallelDecoder) K() int { return pd.ws[0].dec.K() }
 // K+4, the encoder's layout). check, when non-nil, is the per-block success
 // predicate (a CRC); it is installed as each worker's EarlyCheck, and a
 // block that still fails it after the iteration budget aborts the remaining
-// blocks. Decode returns the total iterations consumed and ok=false if any
-// decoded block failed check. Successful output is bit-identical to
-// decoding the blocks serially with one TurboDecoder, because each block's
-// decode depends only on its own streams.
+// blocks; a block whose final decisions include an erasure (see
+// TurboDecoder.Erasures) counts as failing check. Decode returns the total
+// iterations consumed and ok=false if any decoded block failed check.
+// Successful output is bit-identical to decoding the blocks serially with
+// one TurboDecoder, because each block's decode depends only on its own
+// streams.
 func (pd *ParallelDecoder) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, check func([]byte) bool) (int, bool, error) {
 	return pd.DecodePrepared(blocks, ld0, ld1, ld2, check, nil)
 }
@@ -407,7 +413,7 @@ func (pd *ParallelDecoder) claimBlocks(w *pdWorker) error {
 			}
 			pd.iters.Add(int64(iters))
 			pd.gIters[pd.group(i)].Add(int64(iters))
-			if pd.check != nil && !pd.check(pd.blocks[i]) {
+			if pd.check != nil && (w.dec.Erasures() > 0 || !pd.check(pd.blocks[i])) {
 				pd.gAbort[pd.group(i)].Store(true)
 			}
 		}

@@ -53,7 +53,7 @@ type TransportProcessor struct {
 	feSB    *SoftBuffer
 	feRV    int
 	feInvN0 float64
-	feVec   bool // AVX2 tile demodulation (fixed at construction)
+	feVec   bool // AVX2 tile demodulation and turbo SISO (fixed at construction)
 
 	// Preallocated working storage.
 	tbBits   []byte // payload + TB CRC (B bits)
@@ -224,12 +224,15 @@ type ProcOptions struct {
 	// bit-identical). It composes with Workers: each worker claims Batch
 	// blocks at a time. 0 or 1 keeps the scalar per-block path.
 	Batch int
-	// NoVectorFrontEnd forces the fused front-end's pure-Go tile kernels
-	// even where the AVX2 path is available (FrontEndAVX2). Outputs are
-	// bit-identical either way; the knob exists for measurement (E18's
-	// scalar-fused column, cost-model calibration) and debugging. It has
-	// no effect on the staged front-end.
-	NoVectorFrontEnd bool
+	// NoVector forces the pure-Go kernels of the vectorized stages even
+	// where their AVX2 paths are available: the fused front-end's tile
+	// kernels (FrontEndAVX2) and the single-block turbo SISO of either
+	// kernel (TurboF32AVX2). Outputs are bit-identical either way; the
+	// knob exists for measurement (E12's and E18's scalar columns,
+	// cost-model calibration) and debugging. The lockstep batch kernel
+	// (Batch) keeps its AVX2 path: it is measured against the scalar int16
+	// kernel, not against itself.
+	NoVector bool
 }
 
 // NewTransportProcessorOpts builds a processor with explicit options; the
@@ -275,6 +278,7 @@ func NewTransportProcessorOpts(mcs MCS, nprb int, o ProcOptions) (*TransportProc
 		if err != nil {
 			return nil, err
 		}
+		dec.NoVector = o.NoVector
 	}
 	rm, err := NewRateMatcher(seg.K)
 	if err != nil {
@@ -284,7 +288,7 @@ func NewTransportProcessorOpts(mcs MCS, nprb int, o ProcOptions) (*TransportProc
 	p := &TransportProcessor{
 		mcs: mcs, nprb: nprb, tbs: tbs, e: e, seg: seg, kernel: kernel,
 		frontEnd: o.FrontEnd,
-		feVec:    FrontEndAVX2() && !o.NoVectorFrontEnd,
+		feVec:    FrontEndAVX2() && !o.NoVector,
 		enc:      enc, dec: dec, rm: rm, scr: NewScrambler(0),
 		tbBits:   make([]byte, b),
 		blockBuf: make([]byte, seg.K),
@@ -310,7 +314,7 @@ func NewTransportProcessorOpts(mcs MCS, nprb int, o ProcOptions) (*TransportProc
 	}
 	p.softBuf = p.NewSoftBuffer()
 	if usePar {
-		p.par, err = NewParallelDecoderOpts(seg.K, ParallelOptions{Workers: workers, Kernel: kernel, Batch: batch})
+		p.par, err = NewParallelDecoderOpts(seg.K, ParallelOptions{Workers: workers, Kernel: kernel, Batch: batch, NoVector: o.NoVector})
 		if err != nil {
 			return nil, err
 		}
@@ -363,11 +367,11 @@ func (p *TransportProcessor) MaxIterations() int {
 // FrontEnd returns the decode front-end the processor runs.
 func (p *TransportProcessor) FrontEnd() FrontEnd { return p.frontEnd }
 
-// FrontEndVector reports whether this processor's fused front-end runs the
-// AVX2 tile demodulation (false: pure-Go tile kernels — non-AVX2 host,
-// purego build, or ProcOptions.NoVectorFrontEnd). Outputs are bit-identical
-// either way.
-func (p *TransportProcessor) FrontEndVector() bool { return p.feVec }
+// Vector reports whether this processor runs the AVX2 kernels — the fused
+// front-end's tile demodulation and the single-block turbo SISO (false:
+// pure-Go kernels — non-AVX2 host, purego build, or
+// ProcOptions.NoVector). Outputs are bit-identical either way.
+func (p *TransportProcessor) Vector() bool { return p.feVec }
 
 // Close releases the resident decode goroutines of a parallel processor. It
 // is a no-op for serial processors and must not race an in-flight Decode.
@@ -555,18 +559,38 @@ func (p *TransportProcessor) Decode(rx []complex128, n0 float64, rnti uint16, ce
 			return nil, fmt.Errorf("phy: transport block: %w", ErrCRC)
 		}
 	} else {
-		p.dec.EarlyCheck = check
-		for i := 0; i < p.seg.C; i++ {
-			iters, err := p.dec.Decode(p.blocks[i], sb.ld0[i], sb.ld1[i], sb.ld2[i])
-			if err != nil {
-				return nil, err
-			}
-			p.Timings.TurboIterations += iters
+		erased, err := p.decodeSerial(check, sb)
+		if err != nil {
+			return nil, err
+		}
+		if erased {
+			p.Timings.TurboDecode = time.Since(start)
+			p.Timings.CRCCheck = 0
+			return nil, fmt.Errorf("phy: transport block: %w", ErrCRC)
 		}
 	}
 	p.Timings.TurboDecode = time.Since(start)
 
 	return p.finishDecode()
+}
+
+// decodeSerial turbo-decodes every code block on the processor's own
+// decoder with check as the early-termination predicate, accumulating
+// Timings.TurboIterations. erased reports whether any block ended with an
+// erasure (TurboDecoder.Erasures): such a block decided nothing — it
+// decodes to zeros, whose CRC passes — so the transport block must fail
+// regardless of its CRC.
+func (p *TransportProcessor) decodeSerial(check func([]byte) bool, sb *SoftBuffer) (erased bool, err error) {
+	p.dec.EarlyCheck = check
+	for i := 0; i < p.seg.C; i++ {
+		iters, err := p.dec.Decode(p.blocks[i], sb.ld0[i], sb.ld1[i], sb.ld2[i])
+		if err != nil {
+			return false, err
+		}
+		p.Timings.TurboIterations += iters
+		erased = erased || p.dec.Erasures() > 0
+	}
+	return erased, nil
 }
 
 // decodeFused is the fused-front-end decode body: the per-block front-end
@@ -618,15 +642,15 @@ func (p *TransportProcessor) decodeFused(rx []complex128, n0 float64, rnti uint1
 	p.Timings.FrontEnd = time.Since(start)
 
 	start = time.Now()
-	p.dec.EarlyCheck = check
-	for i := 0; i < p.seg.C; i++ {
-		iters, err := p.dec.Decode(p.blocks[i], sb.ld0[i], sb.ld1[i], sb.ld2[i])
-		if err != nil {
-			return nil, err
-		}
-		p.Timings.TurboIterations += iters
-	}
+	erased, err := p.decodeSerial(check, sb)
 	p.Timings.TurboDecode = time.Since(start)
+	if err != nil {
+		return nil, err
+	}
+	if erased {
+		p.Timings.CRCCheck = 0
+		return nil, fmt.Errorf("phy: transport block: %w", ErrCRC)
+	}
 
 	return p.finishDecode()
 }

@@ -40,7 +40,9 @@ var (
 	rscFeedback [turboStates]uint8
 )
 
-// Flattened trellis tables for the decoder's hot loops:
+// Flattened trellis tables — the canonical trellis the unrolled kernels
+// are pinned against (TestUnrolledTrellisMatchesTables, the table-driven
+// oracle SISO); the tail tables also drive every kernel's tail recursion:
 //
 //	nextD0/nextD1: successor state for input bit 0/1
 //	gammaIdx0/1:   branch-metric index (d<<1 | parity) for input bit 0/1
@@ -181,8 +183,7 @@ type TurboDecoder struct {
 	apri     []float32 // a-priori input to the running constituent
 	ext1     []float32 // extrinsic from decoder 1 (natural order)
 	ext2     []float32 // extrinsic from decoder 2 (interleaved order)
-	alpha    []float32 // (steps+1)×8 forward metrics
-	beta     []float32 // (steps+1)×8 backward metrics
+	alpha    []float32 // K×8 forward metrics (beta stays in registers)
 	i16      *i16Buffers
 	hard     []byte
 
@@ -191,9 +192,17 @@ type TurboDecoder struct {
 	// EarlyCheck, when non-nil, receives the current hard decisions after
 	// each full iteration; returning true stops decoding early (typically a
 	// CRC check). The slice is reused across calls and must not be retained.
+	// It is not consulted while any decision is an erasure (see Erasures).
 	EarlyCheck func(bits []byte) bool
+	// NoVector forces the pure-Go SISO of either kernel (the unrolled
+	// float32 twin, the scalar int16 kernel) even where the AVX2
+	// state-parallel kernels are available (TurboF32AVX2). Output is
+	// bit-identical either way; the knob exists for measurement (E12's
+	// scalar columns, cost-model calibration) and debugging.
+	NoVector bool
 
 	iterationsUsed int
+	erasures       int
 }
 
 // NewTurboDecoder returns a decoder for block size k using the default
@@ -231,8 +240,7 @@ func NewTurboDecoderKernel(k int, kernel DecodeKernel) (*TurboDecoder, error) {
 		d.apri = make([]float32, k)
 		d.ext1 = make([]float32, k)
 		d.ext2 = make([]float32, k)
-		d.alpha = make([]float32, (steps+1)*turboStates)
-		d.beta = make([]float32, (steps+1)*turboStates)
+		d.alpha = make([]float32, k*turboStates)
 	}
 	return d, nil
 }
@@ -246,6 +254,17 @@ func (d *TurboDecoder) Kernel() DecodeKernel { return d.kernel }
 // IterationsUsed reports how many full iterations the last Decode consumed;
 // the cluster cost model uses it to attribute per-block compute.
 func (d *TurboDecoder) IterationsUsed() int { return d.iterationsUsed }
+
+// Erasures reports how many of the last Decode's output decisions were
+// erasures: bits whose a-posteriori LLR was exactly zero, so the decoder
+// had no information on them and the 0 it wrote is a default, not a
+// decision. A block with erasures must not be accepted even if its CRC
+// passes — an undecided block decodes to all zeros, whose CRC-24 is zero —
+// so EarlyCheck is skipped for such iterations and callers treat
+// Erasures() > 0 as a failed block. Filler bits need no exclusion: the
+// transport layer pins them to a strong bit-0 LLR (fillerLLR), which keeps
+// their a-posteriori sums far from zero.
+func (d *TurboDecoder) Erasures() int { return d.erasures }
 
 // Decode consumes the three LLR streams ld0, ld1, ld2 (each length K+4,
 // matching the encoder's output layout; positive ⇒ bit 0) and writes K
@@ -278,158 +297,46 @@ func (d *TurboDecoder) Decode(out []byte, ld0, ld1, ld2 []float32) (int, error) 
 	d.ls2[k+1], d.lp2[k+1] = ld2[k+2], ld0[k+3]
 	d.ls2[k+2], d.lp2[k+2] = ld1[k+3], ld2[k+3]
 
-	for i := range d.apri {
-		d.apri[i] = 0
-	}
-	d.iterationsUsed = 0
+	clear(d.apri)
+	d.iterationsUsed, d.erasures = 0, 0
+	vec := sisoAsm && !d.NoVector
 	for it := 0; it < d.MaxIterations; it++ {
 		// Decoder 1 (natural order). apri currently holds deinterleaved
 		// extrinsic from decoder 2 (zero on the first pass).
-		d.siso(d.ls1, d.lp1, d.apri, d.ext1)
+		sisoF32(d.ls1, d.lp1, d.apri, d.ext1, d.alpha, k, vec)
 		// Interleave ext1 → a-priori for decoder 2.
 		for i := 0; i < k; i++ {
 			d.apri[i] = d.ext1[d.q.Perm(i)]
 		}
-		d.siso(d.ls2, d.lp2, d.apri, d.ext2)
+		sisoF32(d.ls2, d.lp2, d.apri, d.ext2, d.alpha, k, vec)
 		// Deinterleave ext2 back to natural order for the next round.
 		for i := 0; i < k; i++ {
 			d.apri[d.q.Perm(i)] = d.ext2[i]
 		}
 		d.iterationsUsed = it + 1
-		// A-posteriori in natural order: channel + both extrinsics.
-		for i := 0; i < k; i++ {
-			if d.ls1[i]+d.ext1[i]+d.apri[i] >= 0 {
-				d.hard[i] = 0
-			} else {
-				d.hard[i] = 1
+		// A-posteriori in natural order: channel + both extrinsics. An
+		// exactly-zero a-posteriori LLR is an erasure, not a 0 decision.
+		// The decision is computed as a value and stored once, which the
+		// compiler turns into a conditional move: on random payloads a
+		// branch here mispredicts on every other bit.
+		erased := 0
+		ls1, ext1, apri, hard := d.ls1[:k], d.ext1[:k], d.apri[:k], d.hard[:k]
+		for i := range hard {
+			l := ls1[i] + ext1[i] + apri[i]
+			bit := byte(1)
+			if l >= 0 {
+				bit = 0
+			}
+			hard[i] = bit
+			if l == 0 {
+				erased++
 			}
 		}
-		if d.EarlyCheck != nil && d.EarlyCheck(d.hard) {
+		d.erasures = erased
+		if erased == 0 && d.EarlyCheck != nil && d.EarlyCheck(d.hard) {
 			break
 		}
 	}
 	copy(out, d.hard)
 	return d.iterationsUsed, nil
-}
-
-// siso runs one max-log-MAP pass over a terminated constituent trellis.
-// ls/lp are systematic/parity LLRs with tail steps appended (len K+3); la is
-// the a-priori LLR for the K data steps; ext receives the extrinsic output.
-//
-// The recursions are destination-oriented over precomputed two-predecessor
-// tables, with the four possible branch metrics (±systematic ±parity)
-// computed once per step — the layout that makes this the fastest pure-Go
-// inner loop we measured (see BenchmarkTurboDecodeK6144).
-func (d *TurboDecoder) siso(ls, lp, la, ext []float32) {
-	k := d.q.K
-	steps := k + turboTail
-	alpha, beta := d.alpha, d.beta
-
-	// gammas[d<<1|parity] for the current step.
-	var g [4]float32
-
-	// Forward recursion. alpha[0] = {0, -inf...}: encoder starts in state 0.
-	alpha[0] = 0
-	for s := 1; s < turboStates; s++ {
-		alpha[s] = negInf
-	}
-	for t := 0; t < k; t++ {
-		half := (ls[t] + la[t]) * 0.5
-		halfP := lp[t] * 0.5
-		g[0] = half + halfP
-		g[1] = half - halfP
-		g[2] = -half + halfP
-		g[3] = -half - halfP
-		row := alpha[t*turboStates : t*turboStates+turboStates : t*turboStates+turboStates]
-		next := alpha[(t+1)*turboStates : (t+1)*turboStates+turboStates : (t+1)*turboStates+turboStates]
-		for ns := 0; ns < turboStates; ns++ {
-			m0 := row[predState[ns][0]] + g[predGamma[ns][0]]
-			m1 := row[predState[ns][1]] + g[predGamma[ns][1]]
-			if m1 > m0 {
-				m0 = m1
-			}
-			next[ns] = m0
-		}
-	}
-	// Tail steps: single terminating branch per state, source-oriented.
-	for t := k; t < steps; t++ {
-		half := ls[t] * 0.5
-		halfP := lp[t] * 0.5
-		g[0] = half + halfP
-		g[1] = half - halfP
-		g[2] = -half + halfP
-		g[3] = -half - halfP
-		row := alpha[t*turboStates : (t+1)*turboStates]
-		next := alpha[(t+1)*turboStates : (t+2)*turboStates]
-		for s := range next {
-			next[s] = negInf
-		}
-		for s := 0; s < turboStates; s++ {
-			m := row[s] + g[tailGamma[s]]
-			if ns := tailNext[s]; m > next[ns] {
-				next[ns] = m
-			}
-		}
-	}
-
-	// Backward recursion. Terminated trellis ⇒ beta[steps] = {0, -inf...}.
-	base := steps * turboStates
-	beta[base] = 0
-	for s := 1; s < turboStates; s++ {
-		beta[base+s] = negInf
-	}
-	for t := steps - 1; t >= k; t-- {
-		half := ls[t] * 0.5
-		halfP := lp[t] * 0.5
-		g[0] = half + halfP
-		g[1] = half - halfP
-		g[2] = -half + halfP
-		g[3] = -half - halfP
-		row := beta[t*turboStates : (t+1)*turboStates]
-		next := beta[(t+1)*turboStates : (t+2)*turboStates]
-		for s := 0; s < turboStates; s++ {
-			row[s] = g[tailGamma[s]] + next[tailNext[s]]
-		}
-	}
-	for t := k - 1; t >= 0; t-- {
-		half := (ls[t] + la[t]) * 0.5
-		halfP := lp[t] * 0.5
-		g[0] = half + halfP
-		g[1] = half - halfP
-		g[2] = -half + halfP
-		g[3] = -half - halfP
-		row := beta[t*turboStates : t*turboStates+turboStates : t*turboStates+turboStates]
-		next := beta[(t+1)*turboStates : (t+1)*turboStates+turboStates : (t+1)*turboStates+turboStates]
-		for s := 0; s < turboStates; s++ {
-			m0 := g[gammaIdx0[s]] + next[nextD0[s]]
-			m1 := g[gammaIdx1[s]] + next[nextD1[s]]
-			if m1 > m0 {
-				m0 = m1
-			}
-			row[s] = m0
-		}
-	}
-
-	// LLR and extrinsic for the K data steps.
-	for t := 0; t < k; t++ {
-		arow := alpha[t*turboStates : t*turboStates+turboStates : t*turboStates+turboStates]
-		brow := beta[(t+1)*turboStates : (t+1)*turboStates+turboStates : (t+1)*turboStates+turboStates]
-		half := (ls[t] + la[t]) * 0.5
-		halfP := lp[t] * 0.5
-		g[0] = half + halfP
-		g[1] = half - halfP
-		g[2] = -half + halfP
-		g[3] = -half - halfP
-		m0, m1 := negInf, negInf
-		for s := 0; s < turboStates; s++ {
-			am := arow[s]
-			if v := am + g[gammaIdx0[s]] + brow[nextD0[s]]; v > m0 {
-				m0 = v
-			}
-			if v := am + g[gammaIdx1[s]] + brow[nextD1[s]]; v > m1 {
-				m1 = v
-			}
-		}
-		ext[t] = (m0 - m1) - ls[t] - la[t]
-	}
 }

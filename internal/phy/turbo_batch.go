@@ -66,9 +66,10 @@ type BatchDecoderI16 struct {
 	bt       []int16
 	nbt      []int16
 
-	lanes []int    // lane slot → caller block index (compaction mapping)
-	outs  [][]byte // lane slot → output block (rebuilt each iteration)
-	lit   []int    // per-lane iteration counts of the last Decode
+	lanes  []int    // lane slot → caller block index (compaction mapping)
+	outs   [][]byte // lane slot → output block (rebuilt each iteration)
+	erased []int    // lane slot → erasures in this iteration's decisions
+	lit    []int    // per-lane iteration counts of the last Decode
 }
 
 // NewBatchDecoderI16 returns a lockstep decoder for turbo block size k with
@@ -100,6 +101,7 @@ func NewBatchDecoderI16(k, width int) (*BatchDecoderI16, error) {
 		nbt:           make([]int16, turboStates*w),
 		lanes:         make([]int, w),
 		outs:          make([][]byte, w),
+		erased:        make([]int, w),
 		lit:           make([]int, w),
 	}, nil
 }
@@ -124,7 +126,9 @@ func (bd *BatchDecoderI16) Width() int { return bd.width }
 //
 // check, when non-nil, is the per-lane success predicate (a CRC), evaluated
 // on each lane's hard decisions after every full iteration; a passing lane
-// retires early. drop, when non-nil, is polled for every still-active lane
+// retires early. A lane whose decisions include an erasure (a zero
+// a-posteriori sum, see TurboDecoder.Erasures) never passes, exactly as in
+// the scalar kernel. drop, when non-nil, is polled for every still-active lane
 // before each iteration; returning true cancels the lane (its block keeps
 // the previous iteration's decisions — the caller has already decided not
 // to use them).
@@ -225,18 +229,24 @@ func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, ch
 		// sequentially (lane-major would walk each cache line once per
 		// lane). outs caches the lane→output mapping for the inner loop.
 		outs := bd.outs[:n]
+		erased := bd.erased[:n]
 		for j := 0; j < n; j++ {
 			outs[j] = blocks[bd.lanes[j]]
+			erased[j] = 0
 		}
 		for i := 0; i < k; i++ {
 			ls1 := bd.ls1[i*w : i*w+n : i*w+n]
 			ext1 := bd.ext1[i*w : i*w+n : i*w+n]
 			apri := bd.apri[i*w : i*w+n : i*w+n]
 			for j := range ls1 {
-				if int(ls1[j])+int(ext1[j])+int(apri[j]) >= 0 {
+				l := int(ls1[j]) + int(ext1[j]) + int(apri[j])
+				if l >= 0 {
 					outs[j][i] = 0
 				} else {
 					outs[j][i] = 1
+				}
+				if l == 0 {
+					erased[j]++
 				}
 			}
 		}
@@ -246,7 +256,7 @@ func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, ch
 		if check != nil {
 			last := it == bd.MaxIterations-1
 			for j := n - 1; j >= 0; j-- {
-				if check(outs[j]) {
+				if erased[j] == 0 && check(outs[j]) {
 					n = bd.compact(j, n)
 				} else if last {
 					failed |= 1 << uint(bd.lanes[j])

@@ -1,5 +1,7 @@
 package phy
 
+import "math"
+
 // Quantized fixed-point max-log-MAP SISO (KernelInt16).
 //
 // Arithmetic model: LLRs are quantized to Q6 fixed point (64 units per LLR
@@ -48,11 +50,14 @@ type i16Buffers struct {
 	ext1     []int16 // extrinsic from decoder 1, natural order
 	ext2     []int16 // extrinsic from decoder 2, interleaved order
 	alpha    []int16 // K×8 forward metrics (beta stays in registers)
+	// gb is the AVX2 kernels' branch-metric stream (sisoI16Vec), 4 int32
+	// per data step, allocated only where they can run.
+	gb []int32
 }
 
 func newI16Buffers(k int) *i16Buffers {
 	steps := k + turboTail
-	return &i16Buffers{
+	b := &i16Buffers{
 		ls1:   make([]int16, steps),
 		lp1:   make([]int16, steps),
 		ls2:   make([]int16, steps),
@@ -62,26 +67,32 @@ func newI16Buffers(k int) *i16Buffers {
 		ext2:  make([]int16, k),
 		alpha: make([]int16, k*turboStates),
 	}
+	if sisoAsm {
+		b.gb = make([]int32, 4*k)
+	}
+	return b
 }
 
 // quantizeLLR converts one float32 LLR to saturated Q6 fixed point,
-// rounding half away from zero.
+// rounding half away from zero. It is branch-free (clamp, then add ±0.5
+// with the sign of the value and truncate): LLR signs are random, so a
+// sign branch mispredicts on every other value.
 func quantizeLLR(v float32) int16 {
-	x := v * i16One
-	switch {
-	case x >= i16LLRSat:
-		return i16LLRSat
-	case x <= -i16LLRSat:
-		return -i16LLRSat
-	case x >= 0:
-		return int16(x + 0.5)
-	default:
-		return int16(x - 0.5)
-	}
+	x := min(max(v*i16One, -i16LLRSat), i16LLRSat)
+	half := math.Float32frombits(math.Float32bits(x)&(1<<31) | math.Float32bits(0.5))
+	return int16(x + half)
 }
 
-// quantizeLLRs quantizes a stream (the ingest boundary of the kernel).
+// quantizeLLRs quantizes a stream (the ingest boundary of the kernel),
+// eight values at a time on the AVX2 path where available; the results are
+// quantizeLLR's either way.
 func quantizeLLRs(dst []int16, src []float32) {
+	n := len(src)
+	if sisoAsm && n >= 8 {
+		v := n &^ 7
+		quantizeI16AVX2(&dst[0], &src[0], v)
+		dst, src = dst[v:], src[v:n]
+	}
 	for i, v := range src {
 		dst[i] = quantizeLLR(v)
 	}
@@ -107,28 +118,42 @@ func (d *TurboDecoder) decodeI16(out []byte, ld0, ld1, ld2 []float32) (int, erro
 	b.ls2[k+1], b.lp2[k+1] = quantizeLLR(ld2[k+2]), quantizeLLR(ld0[k+3])
 	b.ls2[k+2], b.lp2[k+2] = quantizeLLR(ld1[k+3]), quantizeLLR(ld2[k+3])
 
-	for i := range b.apri {
-		b.apri[i] = 0
-	}
-	d.iterationsUsed = 0
+	clear(b.apri)
+	d.iterationsUsed, d.erasures = 0, 0
+	vec := sisoAsm && !d.NoVector
 	for it := 0; it < d.MaxIterations; it++ {
-		sisoI16(b.ls1, b.lp1, b.apri, b.ext1, b.alpha, k)
+		if vec {
+			sisoI16Vec(b.ls1, b.lp1, b.apri, b.ext1, b.alpha, b.gb, k)
+		} else {
+			sisoI16(b.ls1, b.lp1, b.apri, b.ext1, b.alpha, k)
+		}
 		for i := 0; i < k; i++ {
 			b.apri[i] = b.ext1[d.q.Perm(i)]
 		}
-		sisoI16(b.ls2, b.lp2, b.apri, b.ext2, b.alpha, k)
+		if vec {
+			sisoI16Vec(b.ls2, b.lp2, b.apri, b.ext2, b.alpha, b.gb, k)
+		} else {
+			sisoI16(b.ls2, b.lp2, b.apri, b.ext2, b.alpha, k)
+		}
 		for i := 0; i < k; i++ {
 			b.apri[d.q.Perm(i)] = b.ext2[i]
 		}
 		d.iterationsUsed = it + 1
-		for i := 0; i < k; i++ {
-			if int(b.ls1[i])+int(b.ext1[i])+int(b.apri[i]) >= 0 {
-				d.hard[i] = 0
-			} else {
-				d.hard[i] = 1
+		// Same erasure rule as the float32 path: a zero a-posteriori sum
+		// decides nothing.
+		// The decision is the sign bit, taken without a branch: on random
+		// payloads a branch here mispredicts on every other bit.
+		erased := 0
+		ls1, ext1, apri, hard := b.ls1[:k], b.ext1[:k], b.apri[:k], d.hard[:k]
+		for i := range hard {
+			l := int(ls1[i]) + int(ext1[i]) + int(apri[i])
+			hard[i] = byte(uint(l) >> 63)
+			if l == 0 {
+				erased++
 			}
 		}
-		if d.EarlyCheck != nil && d.EarlyCheck(d.hard) {
+		d.erasures = erased
+		if erased == 0 && d.EarlyCheck != nil && d.EarlyCheck(d.hard) {
 			break
 		}
 	}
@@ -144,17 +169,18 @@ func (d *TurboDecoder) decodeI16(out []byte, ld0, ld1, ld2 []float32) (int, erro
 // are their negations). TestUnrolledTrellisMatchesTables pins the unrolled
 // structure against the generated trellis tables.
 func sisoI16(ls, lp, la, ext []int16, alpha []int16, k int) {
-	steps := k + turboTail
-
 	// Forward recursion, keeping the 8 state metrics in locals; row t of
 	// alpha stores the metrics *entering* step t.
 	a0, a1, a2, a3, a4, a5, a6, a7 := 0,
 		i16MetricMin, i16MetricMin, i16MetricMin,
 		i16MetricMin, i16MetricMin, i16MetricMin, i16MetricMin
+	// Alpha rows move as whole [8]int16 values: one 16-byte access per row
+	// (one instrumented range access under -race instead of eight).
 	for t := 0; t < k; t++ {
-		row := alpha[t*turboStates : t*turboStates+turboStates : t*turboStates+turboStates]
-		row[0], row[1], row[2], row[3] = int16(a0), int16(a1), int16(a2), int16(a3)
-		row[4], row[5], row[6], row[7] = int16(a4), int16(a5), int16(a6), int16(a7)
+		*(*[turboStates]int16)(alpha[t*turboStates:]) = [turboStates]int16{
+			int16(a0), int16(a1), int16(a2), int16(a3),
+			int16(a4), int16(a5), int16(a6), int16(a7),
+		}
 		h := int(ls[t]) + int(la[t])
 		p := int(lp[t])
 		g0 := (h + p) >> 1
@@ -197,43 +223,15 @@ func sisoI16(ls, lp, la, ext []int16, alpha []int16, k int) {
 		}
 	}
 
-	// Backward recursion over the tail (single terminating branch per
-	// state, table-driven — only 3 steps, not hot).
-	var bt [turboStates]int
-	bt[0] = 0
-	for s := 1; s < turboStates; s++ {
-		bt[s] = i16MetricMin
-	}
-	for t := steps - 1; t >= k; t-- {
-		h := int(ls[t])
-		p := int(lp[t])
-		g0 := (h + p) >> 1
-		g1 := (h - p) >> 1
-		var nb [turboStates]int
-		for s := 0; s < turboStates; s++ {
-			var g int
-			switch tailGamma[s] {
-			case 0:
-				g = g0
-			case 1:
-				g = g1
-			case 2:
-				g = -g1
-			default:
-				g = -g0
-			}
-			nb[s] = g + bt[tailNext[s]]
-		}
-		bt = nb
-	}
-	b0, b1, b2, b3, b4, b5, b6, b7 := bt[0], bt[1], bt[2], bt[3], bt[4], bt[5], bt[6], bt[7]
-	b0, b1, b2, b3, b4, b5, b6, b7 = normI16(b0, b1, b2, b3, b4, b5, b6, b7)
+	bt := tailBetaI16(ls, lp, k)
+	b0, b1, b2, b3 := int(bt[0]), int(bt[1]), int(bt[2]), int(bt[3])
+	b4, b5, b6, b7 := int(bt[4]), int(bt[5]), int(bt[6]), int(bt[7])
 
 	// Fused backward recursion + extrinsic: at step t the registers hold
 	// beta[t+1]; the extrinsic needs only alpha[t], beta[t+1] and ±lp/2 (the
 	// systematic and a-priori halves cancel in the d=0/d=1 difference).
 	for t := k - 1; t >= 0; t-- {
-		row := alpha[t*turboStates : t*turboStates+turboStates : t*turboStates+turboStates]
+		row := *(*[turboStates]int16)(alpha[t*turboStates:])
 		r0, r1, r2, r3 := int(row[0]), int(row[1]), int(row[2]), int(row[3])
 		r4, r5, r6, r7 := int(row[4]), int(row[5]), int(row[6]), int(row[7])
 		p2 := int(lp[t]) >> 1
@@ -332,6 +330,57 @@ func sisoI16(ls, lp, la, ext []int16, alpha []int16, k int) {
 		if t&(i16NormStride-1) == 0 {
 			b0, b1, b2, b3, b4, b5, b6, b7 = normI16(b0, b1, b2, b3, b4, b5, b6, b7)
 		}
+	}
+}
+
+// sisoI16Vec is sisoI16 on the AVX2 state-parallel kernels
+// (turbo_i16_amd64.s) around the shared tail recursion; callers check
+// sisoAsm, and k must be a multiple of 8 (every LTE block size is). gb is
+// the kernels' branch-metric scratch (len 4k). The extrinsics are
+// identical; the alpha rows hold the same metrics in the kernels' lane
+// order (TestTurboI16VecMatchesScalar).
+func sisoI16Vec(ls, lp, la, ext, alpha []int16, gb []int32, k int) {
+	forwardI16AVX2(&ls[0], &lp[0], &la[0], &alpha[0], &gb[0], k)
+	beta := tailBetaI16(ls, lp, k)
+	backwardI16AVX2(&gb[0], &ext[0], &alpha[0], &beta, k)
+}
+
+// tailBetaI16 runs the backward recursion over the three tail steps of a
+// terminated trellis (single terminating branch per state, table-driven —
+// only 3 steps, not hot) and returns the renormalized beta[K] the fused
+// pass starts from.
+func tailBetaI16(ls, lp []int16, k int) [turboStates]int16 {
+	var bt [turboStates]int
+	bt[0] = 0
+	for s := 1; s < turboStates; s++ {
+		bt[s] = i16MetricMin
+	}
+	for t := k + turboTail - 1; t >= k; t-- {
+		h := int(ls[t])
+		p := int(lp[t])
+		g0 := (h + p) >> 1
+		g1 := (h - p) >> 1
+		var nb [turboStates]int
+		for s := 0; s < turboStates; s++ {
+			var g int
+			switch tailGamma[s] {
+			case 0:
+				g = g0
+			case 1:
+				g = g1
+			case 2:
+				g = -g1
+			default:
+				g = -g0
+			}
+			nb[s] = g + bt[tailNext[s]]
+		}
+		bt = nb
+	}
+	b0, b1, b2, b3, b4, b5, b6, b7 := normI16(bt[0], bt[1], bt[2], bt[3], bt[4], bt[5], bt[6], bt[7])
+	return [turboStates]int16{
+		int16(b0), int16(b1), int16(b2), int16(b3),
+		int16(b4), int16(b5), int16(b6), int16(b7),
 	}
 }
 
