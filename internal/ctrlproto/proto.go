@@ -13,6 +13,14 @@
 // The protocol is deliberately version-tagged in Register so mixed fleets
 // can be detected at connect time rather than mid-operation.
 //
+// Sends cost one write per burst, not one per message, in both directions,
+// while every message stays its own frame. A Stream's writer frames every
+// live queued command, up to 64 KiB, into one buffer and sends it with one
+// write. An agent's Ack may wait in its Conn's pending buffer while the
+// reader already holds more buffered input; pending frames go out ahead of
+// the next write in the same syscall, just before the reader would block on
+// the socket, once they reach 64 KiB, and on Close.
+//
 // Concurrency: message encode/decode functions are pure and safe for
 // concurrent use. A Conn permits one reading goroutine at a time, while
 // writes are internally serialized so any goroutine may send; the node
@@ -27,7 +35,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -613,14 +623,49 @@ func newMessage(t MsgType) (Message, error) {
 	}
 }
 
+// maxBatch caps the bytes one batched write carries: a stream drain frames
+// queued entries up to it, and deferred frames are written once they reach
+// it. It matches the reader's buffer.
+const maxBatch = 64 << 10
+
+// closeFlushTimeout bounds the write of deferred frames on Close, so closing
+// a connection whose peer stopped reading cannot hang.
+const closeFlushTimeout = 100 * time.Millisecond
+
+// appendFrame appends m's frame (header and payload) to dst. On error dst is
+// returned unchanged.
+func appendFrame(dst []byte, m Message) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, byte(m.Type()))
+	dst = m.MarshalBinary(dst)
+	payload := len(dst) - start - 5
+	if payload > MaxFrame {
+		return dst[:start], fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, payload)
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(payload))
+	return dst, nil
+}
+
 // Conn frames Messages over an underlying net.Conn. Reads are single-reader;
 // writes are internally serialized so any goroutine may send.
+//
+// A deferred write (Client.Ack) may wait in the Conn's pending buffer, but
+// only while the reader already holds more buffered input. Pending frames
+// are written ahead of the next write in the same syscall, by the read path
+// just before it would block on the socket, once they reach maxBatch bytes,
+// and on Close. So a deferred frame is never held while the reader is idle
+// or blocked on input.
 type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
 
 	wmu  sync.Mutex
-	wbuf []byte
+	wbuf []byte // pending frames, then the frame being written
+	// pending reports len(wbuf) > 0 without the write lock.
+	pending atomic.Bool
+	// more is true while the reader holds buffered input past the last
+	// frame it returned, so its next read may not touch the socket.
+	more atomic.Bool
 
 	// ReadTimeout bounds each ReadMessage; zero means no deadline.
 	ReadTimeout time.Duration
@@ -628,28 +673,101 @@ type Conn struct {
 
 // NewConn wraps a net.Conn.
 func NewConn(nc net.Conn) *Conn {
-	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, 64<<10)}
+	c := &Conn{nc: nc}
+	c.br = bufio.NewReaderSize(flushReader{c}, maxBatch)
+	return c
 }
 
-// Close closes the underlying connection.
-func (c *Conn) Close() error { return c.nc.Close() }
+// flushReader is the read buffer's source. It writes pending frames before
+// every socket read: the reader has run out of buffered input and may block.
+type flushReader struct{ c *Conn }
+
+func (r flushReader) Read(p []byte) (int, error) {
+	c := r.c
+	// Clear more before looking at pending; writeDeferred sets pending
+	// before looking at more. Whichever runs second sees the other's store,
+	// so a frame deferred concurrently is flushed by one of the two.
+	c.more.Store(false)
+	if c.pending.Load() {
+		if err := c.flush(); err != nil {
+			return 0, err
+		}
+	}
+	return c.nc.Read(p)
+}
+
+// Close writes any pending frames (unless a write is in progress, which
+// carries them) and closes the underlying connection.
+func (c *Conn) Close() error {
+	if c.pending.Load() && c.wmu.TryLock() {
+		_ = c.nc.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
+		_ = c.flushLocked()
+		c.wmu.Unlock()
+	}
+	return c.nc.Close()
+}
 
 // RemoteAddr returns the peer address.
 func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
 
-// WriteMessage frames and sends one message.
+// WriteMessage frames and sends one message, behind any pending frames and
+// in the same write.
 func (c *Conn) WriteMessage(m Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.wbuf = c.wbuf[:0]
-	c.wbuf = append(c.wbuf, 0, 0, 0, 0, byte(m.Type()))
-	c.wbuf = m.MarshalBinary(c.wbuf)
-	payload := len(c.wbuf) - 5
-	if payload > MaxFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, payload)
+	var err error
+	if c.wbuf, err = appendFrame(c.wbuf, m); err != nil {
+		return err
 	}
-	binary.BigEndian.PutUint32(c.wbuf[:4], uint32(payload))
+	return c.flushLocked()
+}
+
+// writeDeferred frames m into the pending buffer and writes the buffer only
+// if the reader holds no more buffered input or the buffer reached
+// maxBatch. A deferred frame reports nil; a failure to write it surfaces on
+// a later write or read.
+func (c *Conn) writeDeferred(m Message) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	var err error
+	if c.wbuf, err = appendFrame(c.wbuf, m); err != nil {
+		return err
+	}
+	c.pending.Store(true)
+	if c.more.Load() && len(c.wbuf) < maxBatch {
+		return nil
+	}
+	return c.flushLocked()
+}
+
+// writeFrames writes already-framed bytes, behind any pending frames and in
+// the same write.
+func (c *Conn) writeFrames(b []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if len(c.wbuf) == 0 {
+		_, err := c.nc.Write(b)
+		return err
+	}
+	c.wbuf = append(c.wbuf, b...)
+	return c.flushLocked()
+}
+
+// flush writes pending frames.
+func (c *Conn) flush() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.flushLocked()
+}
+
+// flushLocked writes wbuf and empties it; the caller holds wmu.
+func (c *Conn) flushLocked() error {
+	if len(c.wbuf) == 0 {
+		return nil
+	}
 	_, err := c.nc.Write(c.wbuf)
+	c.wbuf = c.wbuf[:0]
+	c.pending.Store(false)
 	return err
 }
 
@@ -674,16 +792,40 @@ func (c *Conn) ReadMessage() (Message, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(c.br, payload); err != nil {
-		return nil, err
-	}
 	m, err := newMessage(MsgType(hdr[4]))
 	if err != nil {
 		return nil, err
 	}
+	payload, err := readPayload(c.br, int(n))
+	if err != nil {
+		return nil, err
+	}
+	c.more.Store(c.br.Buffered() > 0)
 	if err := m.UnmarshalBinary(payload); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// readPayload reads an n-byte payload. Beyond maxBatch the buffer doubles as
+// the bytes arrive, so a header that claims more than the peer sends costs a
+// small multiple of what was actually sent, not the claimed size.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	if n <= maxBatch {
+		b := make([]byte, n)
+		_, err := io.ReadFull(r, b)
+		return b, err
+	}
+	b := make([]byte, 0, maxBatch)
+	for len(b) < n {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(len(b), n-len(b)))
+		}
+		k, err := io.ReadFull(r, b[len(b):min(cap(b), n)])
+		b = b[:len(b)+k]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }

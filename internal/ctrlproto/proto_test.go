@@ -10,8 +10,9 @@ import (
 	"time"
 )
 
-func TestMessageRoundtrips(t *testing.T) {
-	msgs := []Message{
+// sampleMessages returns one or more populated values of every message type.
+func sampleMessages() []Message {
+	return []Message{
 		&Register{ProtoVersion: 1, ServerID: 7, Cores: 16, SpeedMilli: 1250},
 		&RegisterAck{HeartbeatMillis: 100},
 		&Heartbeat{ServerID: 7, TTI: 123456, UsedMilliCores: 3500, QueueLen: 12, Misses: 3, Completed: 99999},
@@ -30,7 +31,10 @@ func TestMessageRoundtrips(t *testing.T) {
 		&CellOwned{ServerID: 7, Cells: []uint16{4, 9, 1}},
 		&CellOwned{ServerID: 8, Cells: nil},
 	}
-	for _, m := range msgs {
+}
+
+func TestMessageRoundtrips(t *testing.T) {
+	for _, m := range sampleMessages() {
 		payload := m.MarshalBinary(nil)
 		fresh, err := newMessage(m.Type())
 		if err != nil {

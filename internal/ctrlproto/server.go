@@ -337,7 +337,10 @@ type Client struct {
 }
 
 // DialAgent connects to the controller, registers, and returns the client
-// after the controller's ack.
+// after the controller's ack. The controller writes that ack before it
+// publishes the agent, so Server.Agent and Server.NumAgents may not see the
+// agent yet when DialAgent returns: a caller that needs the controller-side
+// handle must wait for it.
 func DialAgent(addr string, serverID uint32, cores uint16, speedMilli uint32) (*Client, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -391,8 +394,13 @@ func (c *Client) Heartbeat(hb *Heartbeat) error {
 // Receive blocks for the next controller command.
 func (c *Client) Receive() (Message, error) { return c.conn.ReadMessage() }
 
-// Ack acknowledges a command.
-func (c *Client) Ack(seq uint32) error { return c.conn.WriteMessage(&Ack{Seq: seq}) }
+// Ack acknowledges a command. While more commands are already buffered for
+// Receive, the ack waits in the connection's pending buffer and goes out
+// with the next write or before Receive blocks on the socket (see Conn), so
+// K commands that arrive in one read cost one write of K acks. A deferred
+// ack reports nil; a failure to write it surfaces on a later send or
+// Receive.
+func (c *Client) Ack(seq uint32) error { return c.conn.writeDeferred(&Ack{Seq: seq}) }
 
 // SendError reports a command failure.
 func (c *Client) SendError(seq uint32, code uint16, text string) error {

@@ -177,9 +177,17 @@ func (st *Stream) Enqueue(key StreamKey, m Message) error {
 }
 
 // writeLoop drains the queue onto the socket until the stream closes or a
-// write fails. It is the stream's single consumer.
+// write fails. It is the stream's single consumer. Each time it wakes it
+// frames every live queued entry, up to maxBatch bytes, back to back into
+// one buffer and sends them with one write; the entries of a batch are in
+// flight from the moment they are taken, and onSent fires for each once the
+// write returns.
 func (st *Stream) writeLoop() {
 	defer close(st.done)
+	var (
+		buf   []byte
+		batch []sentEntry
+	)
 	for {
 		st.mu.Lock()
 		for st.head >= len(st.q) && !st.closed {
@@ -189,34 +197,70 @@ func (st *Stream) writeLoop() {
 			st.mu.Unlock()
 			return
 		}
-		e := st.q[st.head]
-		st.head++
-		if st.head > len(st.q)/2 && st.head > 64 {
-			st.q = append(st.q[:0], st.q[st.head:]...)
-			st.head = 0
+		var frameErr error
+		buf, batch = buf[:0], batch[:0]
+		for st.head < len(st.q) {
+			e := st.q[st.head]
+			if !e.dead {
+				n := len(buf)
+				if buf, frameErr = appendFrame(buf, e.msg); frameErr != nil {
+					break
+				}
+				if len(buf) > maxBatch && n > 0 {
+					buf = buf[:n] // the next drain starts with this entry
+					break
+				}
+				if e.key.Kind != KeyNone && st.byKey[e.key] == e {
+					delete(st.byKey, e.key)
+				}
+				st.live--
+				batch = append(batch, sentEntry{e.key, e.enq})
+			}
+			st.q[st.head] = nil // a delivered message must not stay reachable
+			st.head++
 		}
-		if e.dead {
-			st.mu.Unlock()
-			continue
+		if st.head == len(st.q) {
+			st.q, st.head = st.q[:0], 0
+		} else if st.head > len(st.q)/2 && st.head > 64 {
+			n := copy(st.q, st.q[st.head:])
+			clear(st.q[n:])
+			st.q, st.head = st.q[:n], 0
 		}
-		if e.key.Kind != KeyNone && st.byKey[e.key] == e {
-			delete(st.byKey, e.key)
-		}
-		st.live--
 		st.stats.Depth = st.live
 		st.mu.Unlock()
 
-		if err := st.conn.WriteMessage(e.msg); err != nil {
+		var err error
+		if len(buf) > 0 {
+			err = st.conn.writeFrames(buf)
+		}
+		if err == nil {
+			st.mu.Lock()
+			st.stats.Sent += uint64(len(batch))
+			st.mu.Unlock()
+			if st.onSent != nil {
+				now := time.Now()
+				for _, s := range batch {
+					st.onSent(s.key, now.Sub(s.enq))
+				}
+			}
+		}
+		if err != nil || frameErr != nil {
+			// The socket failed, or an entry exceeds MaxFrame: the stream
+			// dies and reconnection reconciles what it held.
 			st.close()
 			return
 		}
-		st.mu.Lock()
-		st.stats.Sent++
-		st.mu.Unlock()
-		if st.onSent != nil {
-			st.onSent(e.key, time.Since(e.enq))
+		if cap(buf) > 2*maxBatch {
+			buf = nil // do not pin one oversized state snapshot's copy
 		}
 	}
+}
+
+// sentEntry is what the writer keeps of an entry in flight: enough for the
+// onSent hook, and no reference to the message.
+type sentEntry struct {
+	key StreamKey
+	enq time.Time
 }
 
 // close marks the stream closed and wakes the writer; queued messages are

@@ -84,9 +84,14 @@ func protocolRTT(rounds int) (p50, p99 float64, err error) {
 			}
 		}
 	}()
+	// The server publishes the agent after it writes the registration ack,
+	// so DialAgent can return first.
 	agent, ok := srv.Agent(1)
-	if !ok {
-		return 0, 0, fmt.Errorf("experiments: agent not registered")
+	for deadline := time.Now().Add(5 * time.Second); !ok; agent, ok = srv.Agent(1) {
+		if time.Now().After(deadline) {
+			return 0, 0, fmt.Errorf("experiments: agent not registered")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	var rtts []float64
 	for i := 0; i < rounds; i++ {
